@@ -16,6 +16,7 @@ import numpy as np
 
 from .curves import moment_vector
 from .errors import (
+    ENUMERATION_LIMIT,
     DimensionMismatch,
     ShapeMismatch,
     TooLarge,
@@ -24,8 +25,6 @@ from .errors import (
 )
 from .exactla import ExactMatrix, PrimeField
 from .pointconfig import PointConfiguration
-
-BRUTE_FORCE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -133,12 +132,8 @@ def grs_dual_multipliers(spec: GrsSpec) -> tuple:
     """
     f = spec.field
     n = spec.n
-    rows = []
-    for i in range(n - 1):
-        rows.append(
-            tuple(moment_vector(f, spec.points.point(j), n - 2)[i] for j in range(n))
-        )
-    kernel = ExactMatrix(f, tuple(rows)).kernel_basis()
+    moments = tuple(moment_vector(f, spec.points.point(j), n - 2) for j in range(n))
+    kernel = ExactMatrix(f, moments).transpose().kernel_basis()
     if kernel.cols != 1:
         raise VerificationFailed("degree n-2 evaluation kernel is not a line")
     products = kernel.column(0)
@@ -157,13 +152,12 @@ def grs_dual_multipliers(spec: GrsSpec) -> tuple:
 def min_distance(code: LinearCode) -> int:
     """Minimum Hamming weight by exhaustive message enumeration.
 
-    Vectorized over blocks of messages; everything stays in int64, which
-    is exact for p**2 * k far below 2**63.
+    Vectorized over blocks of messages in exact int64 arithmetic.
     """
     p, k, n = code.field.p, code.k, code.n
     total = p**k
-    if total > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"p^k = {total} exceeds {BRUTE_FORCE_LIMIT}")
+    if total > ENUMERATION_LIMIT:
+        raise TooLarge(f"p^k = {total} exceeds {ENUMERATION_LIMIT}")
     gen = np.array([[int(x) for x in row] for row in code.generator.entries], dtype=np.int64)
     best = n
     block = 1 << 15
@@ -173,6 +167,8 @@ def min_distance(code: LinearCode) -> int:
         msgs = np.empty((stop - start, k), dtype=np.int64)
         for c in range(k):
             msgs[:, c] = (idx // p**c) % p
+        # p**k <= ENUMERATION_LIMIT, so each sum of k products of residues
+        # is below k p^2 <= 10^14 < 2^63
         words = msgs @ gen % p
         weights = np.count_nonzero(words, axis=1)
         best = min(best, int(weights.min()))
@@ -190,15 +186,6 @@ def code_points(code: LinearCode) -> PointConfiguration:
     return PointConfiguration.new(
         code.field, code.k - 1, [code.generator.column(j) for j in range(code.n)]
     )
-
-
-def mds_defect(code: LinearCode) -> int:
-    """n - k + 1 - min_distance; zero exactly for MDS codes."""
-    return code.n - code.k + 1 - min_distance(code)
-
-
-def parity_check(code: LinearCode) -> ExactMatrix:
-    return dual_code(code).generator
 
 
 def classical_dual_products(spec: GrsSpec) -> tuple:

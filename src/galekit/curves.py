@@ -157,8 +157,6 @@ class GoppaReport:
     equivalence: Equivalence
     gale_side: PointConfiguration
     reembed_side: PointConfiguration
-    gale_canonical: Optional[PointConfiguration]
-    reembed_canonical: Optional[PointConfiguration]
 
 
 def goppa_dual_check(params: PointConfiguration, h: int) -> GoppaReport:
@@ -178,16 +176,7 @@ def goppa_dual_check(params: PointConfiguration, h: int) -> GoppaReport:
     gale_side = gale_transform(rnc_embed(params, h)).transform
     reembed_side = rnc_embed(params, dual_degree)
     eq = is_equivalent_labeled(gale_side, reembed_side)
-    report = GoppaReport(
-        n,
-        h,
-        dual_degree,
-        eq,
-        gale_side,
-        reembed_side,
-        gale_side.canonical_form(),
-        reembed_side.canonical_form(),
-    )
+    report = GoppaReport(n, h, dual_degree, eq, gale_side, reembed_side)
     if eq is not Equivalence.EQUIVALENT:
         raise VerificationFailed(
             f"degree-{h} Gale side is not the degree-{dual_degree} re-embedding"

@@ -19,20 +19,19 @@ from typing import Iterable, Literal, Optional
 import numpy as np
 
 from .errors import (
+    ENUMERATION_LIMIT,
     DimensionMismatch,
     GaleKitError,
     LocusIncomplete,
     NotBijective,
     RankTwoDrop,
     RetryBudgetExceeded,
-    SearchTooLarge,
+    TooLarge,
     VerificationFailed,
 )
-from .exactla import ExactMatrix, PrimeField
+from .exactla import ExactMatrix, PrimeField, normalize_row
 from .gale import gale_transform
 from .pointconfig import Equivalence, PointConfiguration, is_equivalent_labeled
-
-SCAN_LIMIT = 10**7
 
 Side = Literal["V", "W"]
 
@@ -139,7 +138,13 @@ def projective_representatives(p: int, dim: int):
 
 
 def projective_representatives_array(p: int, dim: int) -> np.ndarray:
-    """The same representatives in the same order, as int64 rows."""
+    """The same representatives in the same order, as int64 rows.
+
+    Refused with :class:`TooLarge` before anything is allocated when
+    p**dim exceeds ``ENUMERATION_LIMIT``.
+    """
+    if p**dim > ENUMERATION_LIMIT:
+        raise TooLarge(f"p^dim = {p}^{dim} exceeds {ENUMERATION_LIMIT}")
     blocks = []
     for lead in range(dim, -1, -1):
         tail = dim - lead
@@ -201,15 +206,19 @@ def _adjoint_coefficients(phi: TrilinearForm, side: Side) -> np.ndarray:
 def _candidate_mask(entries: np.ndarray, full: int, f: int, p: int) -> np.ndarray:
     """Points where one fixed maximal minor vanishes: a superset of every
     rank-drop point, cheap to evaluate in bulk.  Only wired for 3-row
-    adjoints; other shapes scan everything."""
+    adjoints; other shapes scan everything.
+
+    Entries are residues in [0, p) and every product is reduced at once,
+    so no int64 intermediate reaches p^2 < 2^62 for any p < 2^31.
+    """
     if full != 3:
         return np.ones(entries.shape[0], dtype=bool)
     a = [[entries[:, row * f + m] for m in range(3)] for row in range(3)]
-    det = (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
+
+    def minor(i: int, j: int) -> np.ndarray:
+        return (a[1][i] * a[2][j] % p - a[1][j] * a[2][i] % p) % p
+
+    det = a[0][0] * minor(1, 2) % p - a[0][1] * minor(0, 2) % p + a[0][2] * minor(0, 1) % p
     return det % p == 0
 
 
@@ -224,11 +233,11 @@ def determinantal_locus(phi: TrilinearForm, side: Side) -> PointConfiguration:
     """
     dim = phi.r if side == "V" else phi.s
     p = phi.field.p
-    if p**dim > SCAN_LIMIT:
-        raise SearchTooLarge(f"p^dim = {p}^{dim} exceeds {SCAN_LIMIT}")
     full = (phi.s if side == "V" else phi.r) + 1
     reps = projective_representatives_array(p, dim)
     coeffs = _adjoint_coefficients(phi, side)
+    # p**dim <= ENUMERATION_LIMIT, so each sum of dim+1 products of residues
+    # is below (dim+1) p^2 <= 2 * 10^14 < 2^63
     entries = reps @ coeffs.T % p
     mask = _candidate_mask(entries, full, phi.f, p)
     hits = []
@@ -257,14 +266,6 @@ def _kernel_line(m: ExactMatrix):
     return k.column(0)
 
 
-def _normalize(field, vec) -> tuple:
-    lead = next((x for x in vec if x != field.zero), None)
-    if lead is None:
-        return tuple(vec)
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, x) for x in vec)
-
-
 def match_pairs(
     phi: TrilinearForm, gv: PointConfiguration, gw: PointConfiguration
 ) -> tuple[int, ...]:
@@ -277,18 +278,18 @@ def match_pairs(
     fld = phi.field
     if gv.gamma != gw.gamma:
         raise NotBijective("loci have different cardinalities")
-    lookup = {_normalize(fld, gw.point(i)): i for i in range(gw.gamma)}
+    lookup = {normalize_row(fld, gw.point(i)): i for i in range(gw.gamma)}
     matches = []
     for i in range(gv.gamma):
         x = gv.point(i)
         u = _kernel_line(adjoint_eval(phi, "V", x))
         if u is None:
             raise NotBijective(f"kernel line at side-V point {i} is not unique")
-        j = lookup.get(_normalize(fld, u))
+        j = lookup.get(normalize_row(fld, u))
         if j is None:
             raise NotBijective(f"no side-W partner for side-V point {i}")
         back = _kernel_line(adjoint_eval(phi, "W", gw.point(j)))
-        if back is None or _normalize(fld, back) != _normalize(fld, x):
+        if back is None or normalize_row(fld, back) != normalize_row(fld, x):
             raise NotBijective(f"matching is not symmetric at pair ({i}, {j})")
         matches.append(j)
     if len(set(matches)) != gv.gamma:
@@ -388,7 +389,7 @@ def _tensor_through_pairs(fld, r: int, s: int, rng: random.Random) -> TrilinearF
     p = fld.p
     gamma = math.comb(r + s, s)
     f = r + s
-    vs = _distinct_projective_points(rng, p, r, gamma)
+    vs = _distinct_projective_points(rng, fld, r, gamma)
     cfg_v = PointConfiguration.new(fld, r, vs)
     embedded = cfg_v.veronese(s - 1) if s > 1 else cfg_v
     ws_cfg = gale_transform(embedded).transform
@@ -435,16 +436,14 @@ def _vector_to_tensor(vec, f: int, r: int, s: int):
     )
 
 
-def _distinct_projective_points(rng: random.Random, p: int, dim: int, count: int):
+def _distinct_projective_points(rng: random.Random, fld: PrimeField, dim: int, count: int):
     seen = set()
     out = []
     while len(out) < count:
-        vec = tuple(rng.randrange(p) for _ in range(dim + 1))
+        vec = tuple(rng.randrange(fld.p) for _ in range(dim + 1))
         if all(x == 0 for x in vec):
             continue
-        lead = next(x for x in vec if x)
-        inv = pow(lead, p - 2, p)
-        rep = tuple(x * inv % p for x in vec)
+        rep = normalize_row(fld, vec)
         if rep not in seen:
             seen.add(rep)
             out.append(rep)

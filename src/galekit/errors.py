@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all galekit modules."""
+"""Exception hierarchy shared by all galekit modules, and the size bound
+on exhaustive GF(p) enumerations that :class:`TooLarge` enforces."""
+
+# Largest p**dim (projective scans) or p**k (code words) an exhaustive
+# enumeration over GF(p) may visit; checked before any array is allocated.
+ENUMERATION_LIMIT = 10**7
 
 
 class GaleKitError(Exception):
@@ -24,10 +29,6 @@ class DuplicatePoint(GaleKitError):
     def __init__(self, i: int, j: int):
         super().__init__(f"points {i} and {j} are proportional")
         self.i, self.j = i, j
-
-
-class ConfigurationTooLarge(GaleKitError):
-    """Exhaustive subset scan refused: more than 20 points."""
 
 
 class WrongDegree(GaleKitError):
@@ -94,11 +95,8 @@ class ShapeMismatch(GaleKitError):
 
 
 class TooLarge(GaleKitError):
-    """Brute-force enumeration bound exceeded."""
-
-
-class SearchTooLarge(GaleKitError):
-    """Exhaustive projective-space scan bound exceeded."""
+    """An exhaustive scan or search was refused because its size exceeds
+    a fixed bound (subset scans, GF(p) enumerations, form searches)."""
 
 
 class RankTwoDrop(GaleKitError):

@@ -219,11 +219,6 @@ class ExactMatrix:
             field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         )
 
-    @staticmethod
-    def zero(field: Field, rows: int, cols: int) -> "ExactMatrix":
-        z = field.zero
-        return ExactMatrix(field, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -257,12 +252,6 @@ class ExactMatrix:
         if self.rows != other.rows:
             raise DimensionMismatch("hstack needs equal row counts")
         return ExactMatrix(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_field(other)
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack needs equal column counts")
-        return ExactMatrix(self.field, self.entries + other.entries)
 
     def _check_field(self, other: "ExactMatrix") -> None:
         if self.field != other.field:
@@ -508,13 +497,37 @@ def row_is_zero(field: Field, row: Sequence) -> bool:
     return all(x == field.zero for x in row)
 
 
+def normalize_row(field: Field, row: Sequence) -> tuple:
+    """Scale a nonzero row so its first nonzero entry is one.
+
+    This is the canonical representative of the projective point the row
+    spans: two nonzero rows are proportional exactly when their
+    normalizations are equal.
+    """
+    lead = next((x for x in row if x != field.zero), None)
+    if lead is None:
+        raise ValueError("the zero row has no normalization")
+    inv = field.inv(lead)
+    return tuple(field.mul(inv, x) for x in row)
+
+
 def rows_proportional(field: Field, u: Sequence, v: Sequence) -> bool:
     """True when u and v are nonzero scalar multiples of one another."""
     if row_is_zero(field, u) or row_is_zero(field, v):
         return False
-    # cross-ratio test avoids divisions: u_i v_j == u_j v_i for all i < j
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if field.mul(u[i], v[j]) != field.mul(u[j], v[i]):
-                return False
-    return True
+    return normalize_row(field, u) == normalize_row(field, v)
+
+
+def first_proportional_pair(field: Field, rows: Sequence[Sequence]) -> Optional[tuple[int, int]]:
+    """The lexicographically first pair i < j of proportional rows, or None.
+
+    Each nonzero row is normalized once and the rows are grouped by their
+    normalization; zero rows are proportional to nothing, as in
+    :func:`rows_proportional`.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        if not row_is_zero(field, row):
+            groups.setdefault(normalize_row(field, row), []).append(i)
+    pairs = [(g[0], g[1]) for g in groups.values() if len(g) > 1]
+    return min(pairs, default=None)

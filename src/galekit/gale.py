@@ -20,7 +20,7 @@ from .errors import (
     VerificationFailed,
     WrongDegree,
 )
-from .exactla import ExactMatrix, row_is_zero, rows_proportional
+from .exactla import ExactMatrix, first_proportional_pair, row_is_zero
 from .pointconfig import PointConfiguration, validate_subset
 
 
@@ -58,10 +58,9 @@ def gale_transform(cfg: PointConfiguration) -> GaleResult:
     for i, row in enumerate(k.entries):
         if row_is_zero(f, row):
             raise GaleDegenerate(i)
-    for i in range(k.rows):
-        for j in range(i + 1, k.rows):
-            if rows_proportional(f, k.entries[i], k.entries[j]):
-                raise GaleNonReduced(i, j)
+    pair = first_proportional_pair(f, k.entries)
+    if pair is not None:
+        raise GaleNonReduced(*pair)
     transform = PointConfiguration(k)
     if not (cfg.coords.transpose() @ k).is_zero():
         raise VerificationFailed("kernel identity G^T G' = 0 violated")

@@ -15,10 +15,10 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    ConfigurationTooLarge,
     DimensionMismatch,
     DuplicatePoint,
     FormatError,
+    TooLarge,
     WrongDegree,
     ZeroPoint,
 )
@@ -26,9 +26,10 @@ from .exactla import (
     ExactMatrix,
     Field,
     describe_field,
+    first_proportional_pair,
+    normalize_row,
     parse_field,
     row_is_zero,
-    rows_proportional,
 )
 
 SUBSET_SCAN_LIMIT = 20
@@ -67,10 +68,9 @@ class PointConfiguration:
         for i, row in enumerate(m.entries):
             if row_is_zero(field, row):
                 raise ZeroPoint(i)
-        for i in range(m.rows):
-            for j in range(i + 1, m.rows):
-                if rows_proportional(field, m.entries[i], m.entries[j]):
-                    raise DuplicatePoint(i, j)
+        pair = first_proportional_pair(field, m.entries)
+        if pair is not None:
+            raise DuplicatePoint(*pair)
         return PointConfiguration(m)
 
     # -- basic accessors ----------------------------------------------------
@@ -204,7 +204,7 @@ class PointConfiguration:
         """
         gamma, rp1 = self.gamma, self.r + 1
         if gamma > SUBSET_SCAN_LIMIT:
-            raise ConfigurationTooLarge(f"gamma = {gamma} exceeds {SUBSET_SCAN_LIMIT}")
+            raise TooLarge(f"gamma = {gamma} exceeds {SUBSET_SCAN_LIMIT}")
 
         def ok(rank: int, m: int) -> bool:
             lhs, rhs = rank * gamma, m * rp1
@@ -259,7 +259,7 @@ class PointConfiguration:
         if self.gamma != 2 * rp1:
             raise WrongDegree(f"need {2 * rp1} points, got {self.gamma}")
         if self.gamma > SUBSET_SCAN_LIMIT:
-            raise ConfigurationTooLarge(f"gamma = {self.gamma} exceeds {SUBSET_SCAN_LIMIT}")
+            raise TooLarge(f"gamma = {self.gamma} exceeds {SUBSET_SCAN_LIMIT}")
         everything = set(range(self.gamma))
         for combo in combinations(range(self.gamma), rp1):
             if self.coords.submatrix(combo).rank() < rp1:
@@ -303,12 +303,8 @@ class PointConfiguration:
     def normalized_rows(self) -> "PointConfiguration":
         """Scale every row so its first nonzero entry is one."""
         f = self.field
-        rows = []
-        for row in self.coords.entries:
-            lead = next(x for x in row if x != f.zero)
-            inv = f.inv(lead)
-            rows.append(tuple(f.mul(inv, x) for x in row))
-        return PointConfiguration(ExactMatrix(f, tuple(rows)))
+        rows = tuple(normalize_row(f, row) for row in self.coords.entries)
+        return PointConfiguration(ExactMatrix(f, rows))
 
     def canonical_form(self) -> Optional["PointConfiguration"]:
         """Normal form under projective transformations and row scaling.

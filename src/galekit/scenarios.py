@@ -18,7 +18,7 @@ import numpy as np
 
 from .detnl import projective_representatives_array
 from .errors import RetryBudgetExceeded, VerificationFailed
-from .exactla import GF, QQ, ExactMatrix, PrimeField
+from .exactla import GF, QQ, ExactMatrix, PrimeField, normalize_row
 from .gale import gale_transform
 from .generators import random_lgp_configuration
 from .pointconfig import Equivalence, PointConfiguration, is_equivalent_labeled
@@ -41,7 +41,11 @@ def quadrics_through(cfg: PointConfiguration) -> ExactMatrix:
 def quadric_net_base_locus(
     field: PrimeField, dim: int, quadrics: ExactMatrix
 ) -> list[tuple]:
-    """Common zeros in P^dim(F_p) of the quadrics given by coefficient columns."""
+    """Common zeros in P^dim(F_p) of the quadrics given by coefficient columns.
+
+    Refused with :class:`~galekit.errors.TooLarge` before any allocation
+    when p**dim exceeds the enumeration limit.
+    """
     p = field.p
     reps = projective_representatives_array(p, dim)
     monomials = list(combinations_with_replacement(range(dim + 1), 2))
@@ -52,6 +56,8 @@ def quadric_net_base_locus(
         [[int(x) for x in quadrics.column(c)] for c in range(quadrics.cols)],
         dtype=np.int64,
     ).T
+    # p**dim <= ENUMERATION_LIMIT, so each sum of C(dim+2, 2) products of
+    # residues is below C(dim+2, 2) p^2 <= 3 * 10^14 < 2^63
     evaluations = values @ coeffs % p
     mask = np.all(evaluations == 0, axis=1)
     return [tuple(int(x) for x in row) for row in reps[mask]]
@@ -92,19 +98,13 @@ def eighth_point_analysis(cfg: PointConfiguration) -> EighthPointAnalysis:
     if net.cols != 3:
         return EighthPointAnalysis("degenerate", ())
     locus = quadric_net_base_locus(cfg.field, 3, net)
-    normalized = {_normalize_point(cfg.field, row) for row in cfg.coords.entries}
+    normalized = {normalize_row(cfg.field, row) for row in cfg.coords.entries}
     if len(locus) > 8:
         return EighthPointAnalysis("degenerate", tuple(locus))
     extras = [pt for pt in locus if pt not in normalized]
     if len(locus) == 8 and len(extras) == 1:
         return EighthPointAnalysis("complete", tuple(locus), extras[0])
     return EighthPointAnalysis("irrational", tuple(locus))
-
-
-def _normalize_point(field, row) -> tuple:
-    lead = next(x for x in row if x != field.zero)
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, x) for x in row)
 
 
 @dataclass(frozen=True)

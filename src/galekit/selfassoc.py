@@ -17,11 +17,11 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .errors import (
-    ConfigurationTooLarge,
     Degenerate,
     FirstBlockNotBasis,
     IsotropicObstruction,
     NotTwoBases,
+    TooLarge,
     VerificationFailed,
     WrongDegree,
 )
@@ -163,6 +163,31 @@ def _exhaustive_combination(field: Field, phi: ExactMatrix):
     return ("impossible", -1)
 
 
+def _orthogonalizing_diagonal(field: Field, vectors: Sequence[tuple]):
+    """Search for a diagonal form, nonsingular, under which the given
+    vectors are mutually orthogonal and none is isotropic.
+
+    The pairwise orthogonality conditions are linear in the diagonal; the
+    required-nonzero functionals (each diagonal entry, each vector norm)
+    are searched over their kernel.  Returns the outcome of
+    :func:`_combination_search`, whose first n values are the diagonal.
+    """
+    f = field
+    n = len(vectors[0])
+    conditions = [
+        tuple(f.mul(u[k], v[k]) for k in range(n)) for u, v in combinations(vectors, 2)
+    ]
+    if conditions:
+        kernel = ExactMatrix(f, tuple(conditions)).kernel_basis()
+    else:
+        kernel = ExactMatrix.identity(f, n)
+    if kernel.cols == 0:
+        return ("impossible", 0)
+    functionals = list(ExactMatrix.identity(f, n).entries)
+    functionals.extend(tuple(f.mul(x, x) for x in v) for v in vectors)
+    return _combination_search(f, ExactMatrix(f, tuple(functionals)) @ kernel)
+
+
 # ---------------------------------------------------------------------------
 # self-association
 
@@ -227,34 +252,26 @@ def orthogonalizing_form(
     s = validate_subset(split, cfg.gamma)
     if len(s) != rp1:
         raise NotTwoBases(f"split must have r+1 = {rp1} labels")
-    complement = tuple(sorted(set(range(cfg.gamma)) - set(s)))
-    basis = cfg.coords.submatrix(s)
-    inv = basis.inverse()
+    complement, inv, vs = _split_coordinates(cfg, s)
     if inv is None or cfg.coords.submatrix(complement).rank() < rp1:
         raise NotTwoBases("split and complement must both be bases")
-    vs = (cfg.coords.submatrix(complement) @ inv).entries
-
-    conditions = []
-    for a, b in combinations(range(rp1), 2):
-        conditions.append(tuple(f.mul(vs[a][k], vs[b][k]) for k in range(rp1)))
-    kernel = ExactMatrix(f, tuple(conditions)).kernel_basis()
-    if kernel.cols == 0:
-        return None
-
-    # required nonzero: each diagonal entry, and each complement norm
-    functionals = list(ExactMatrix.identity(f, rp1).entries)
-    for v in vs:
-        functionals.append(tuple(f.mul(x, x) for x in v))
-    phi = ExactMatrix(f, tuple(functionals)) @ kernel
-    outcome = _combination_search(f, phi)
+    outcome = _orthogonalizing_diagonal(f, vs)
     if outcome[0] == "impossible":
         return None
     if outcome[0] == "indeterminate":
-        raise ConfigurationTooLarge(
-            "nonsingular-form search space too large to scan over this field"
-        )
-    diag = outcome[2][:rp1]
-    return DiagonalBilinearForm(f, tuple(diag))
+        raise TooLarge("nonsingular-form search space too large to scan over this field")
+    return DiagonalBilinearForm(f, tuple(outcome[2][:rp1]))
+
+
+def _split_coordinates(cfg: PointConfiguration, split: tuple[int, ...]):
+    """Complement labels, inverse of the split basis, and the complement
+    rows in split-basis coordinates (inverse and rows are None when the
+    split is not a basis)."""
+    complement = tuple(sorted(set(range(cfg.gamma)) - set(split)))
+    inv = cfg.coords.submatrix(split).inverse()
+    if inv is None:
+        return complement, None, None
+    return complement, inv, (cfg.coords.submatrix(complement) @ inv).entries
 
 
 def witness_from_form(
@@ -267,12 +284,9 @@ def witness_from_form(
     """
     f = cfg.field
     s = validate_subset(split, cfg.gamma)
-    complement = tuple(sorted(set(range(cfg.gamma)) - set(s)))
-    basis = cfg.coords.submatrix(s)
-    inv = basis.inverse()
+    complement, inv, vs = _split_coordinates(cfg, s)
     if inv is None:
         raise NotTwoBases("split is not a basis")
-    vs = (cfg.coords.submatrix(complement) @ inv).entries
     entries = [f.zero] * cfg.gamma
     for k, label in enumerate(s):
         entries[label] = f.neg(f.inv(form.diagonal[k]))
@@ -323,7 +337,6 @@ def complete_to_self_associated(cfg: PointConfiguration, seed: int = 0) -> Compl
     f = cfg.field
     rp1 = cfg.r + 1
     gamma = cfg.gamma
-    d = gamma - rp1
     # gamma > 2r+2 always comes out NOT_COMPLETABLE: more than r+1 mutually
     # orthogonal non-isotropic vectors cannot exist
     if gamma <= rp1:
@@ -334,22 +347,7 @@ def complete_to_self_associated(cfg: PointConfiguration, seed: int = 0) -> Compl
         raise FirstBlockNotBasis("the first r+1 points must be independent")
     work = PointConfiguration(cfg.coords @ inv)
     sigma = [work.point(i) for i in range(rp1, gamma)]
-
-    conditions = [
-        tuple(f.mul(sigma[a][k], sigma[b][k]) for k in range(rp1))
-        for a, b in combinations(range(d), 2)
-    ]
-    if conditions:
-        kernel = ExactMatrix(f, tuple(conditions)).kernel_basis()
-    else:
-        kernel = ExactMatrix.identity(f, rp1)
-    if kernel.cols == 0:
-        return Completion(CompletionStatus.NOT_COMPLETABLE)
-
-    functionals = list(ExactMatrix.identity(f, rp1).entries)
-    for v in sigma:
-        functionals.append(tuple(f.mul(x, x) for x in v))
-    outcome = _combination_search(f, ExactMatrix(f, tuple(functionals)) @ kernel)
+    outcome = _orthogonalizing_diagonal(f, sigma)
     if outcome[0] == "impossible":
         return Completion(CompletionStatus.NOT_COMPLETABLE)
     if outcome[0] == "indeterminate":

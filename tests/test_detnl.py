@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from conftest import rng_for
 
 from galekit.detnl import (
     TrilinearForm,
+    _candidate_mask,
     adjoint_eval,
     determinantal_locus,
     match_pairs,
@@ -217,3 +219,33 @@ def test_verify_veronese_gale_2_3():
     report = verify_veronese_gale(phi)
     assert report.equivalence is Equivalence.EQUIVALENT
     assert report.expected_degree == 10
+
+
+# -- int64 safety of the bulk prefilter -----------------------------------------
+
+
+@pytest.mark.parametrize("p", [4_999_999, 2**31 - 1])
+def test_candidate_mask_exact_for_large_primes(p):
+    # residues near p make an unreduced 3x3 minor exceed 2^63 once p is
+    # above about 1.4e6; planted singular minors must all be flagged
+    rng = rng_for(f"mask-{p}")
+    f = 3
+    rows = []
+    for t in range(400):
+        row = [rng.randrange(p) for _ in range(3 * f)]
+        if t % 4 == 0:
+            c, d = rng.randrange(p), rng.randrange(p)
+            row[2 * f : 3 * f] = [(c * x + d * y) % p for x, y in zip(row[:f], row[f : 2 * f])]
+        rows.append(row)
+    mask = _candidate_mask(np.array(rows, dtype=np.int64), 3, f, p)
+
+    def det3(a):
+        return (
+            a[0] * (a[4] * a[8] - a[5] * a[7])
+            - a[1] * (a[3] * a[8] - a[5] * a[6])
+            + a[2] * (a[3] * a[7] - a[4] * a[6])
+        )
+
+    expected = [det3(row) % p == 0 for row in rows]
+    assert sum(expected) >= 100
+    assert mask.tolist() == expected

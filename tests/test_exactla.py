@@ -6,6 +6,7 @@ from conftest import rand_matrix, rng_for
 
 from galekit.errors import DimensionMismatch, FormatError
 from galekit.exactla import GF, QQ, ExactMatrix, dot, matrix_from_text, rows_proportional
+from galekit.exactla import first_proportional_pair, normalize_row, row_is_zero
 
 
 # -- independent oracles ------------------------------------------------------
@@ -270,3 +271,82 @@ def test_dot_and_proportionality():
     assert rows_proportional(GF(7), (1, 2, 3), (2, 4, 6))
     assert not rows_proportional(GF(7), (1, 2, 3), (2, 4, 5))
     assert not rows_proportional(QQ, (0, 0), (1, 1))
+
+
+# -- projective normalization ----------------------------------------------------
+
+
+def cross_multiplication_proportional(field, u, v):
+    """The pairwise rule rows_proportional used before it normalized rows:
+    kept as an independent oracle."""
+    if row_is_zero(field, u) or row_is_zero(field, v):
+        return False
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            if field.mul(u[i], v[j]) != field.mul(u[j], v[i]):
+                return False
+    return True
+
+
+def random_row(rng, field, n):
+    """Small entries, two in seven of them zero, so that zero rows and
+    leading zeros are common."""
+    return tuple(field.coerce(rng.choice((0, 0, 1, -1, 2, -3, 5))) for _ in range(n))
+
+
+def random_row_pair(rng, field, n):
+    """Independent rows, proportional rows, or proportional rows with one
+    entry changed."""
+    u = random_row(rng, field, n)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return u, random_row(rng, field, n)
+    c = field.coerce(rng.choice((1, -1, 2, Fraction(-3, 7), 11)))
+    v = [field.mul(c, x) for x in u]
+    if kind == 2:
+        v[rng.randrange(n)] = field.coerce(rng.choice((0, 1, 4)))
+    return u, tuple(v)
+
+
+def test_normalize_row_scales_leading_entry_to_one():
+    assert normalize_row(QQ, (0, Fraction(2), Fraction(-4))) == (0, 1, -2)
+    assert normalize_row(GF(7), (0, 3, 1)) == (0, 1, 5)
+    with pytest.raises(ValueError):
+        normalize_row(GF(7), (0, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_rows_proportional_matches_cross_multiplication(field):
+    rng = rng_for(f"proportional-{field}")
+    seen = set()
+    for _ in range(3000):
+        u, v = random_row_pair(rng, field, rng.randint(1, 4))
+        expected = cross_multiplication_proportional(field, u, v)
+        assert rows_proportional(field, u, v) == expected, (u, v)
+        seen.add((expected, row_is_zero(field, u) or row_is_zero(field, v), u[0] == field.zero))
+    # both verdicts, zero rows, and leading zeros were all exercised
+    assert {(True, False, True), (True, False, False), (False, True, True)} <= seen
+    assert {(False, False, True), (False, False, False)} <= seen
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_first_proportional_pair_matches_pairwise_scan(field):
+    rng = rng_for(f"first-pair-{field}")
+    found = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            if rows and rng.random() < 0.4:
+                c = field.coerce(rng.choice((1, -2, 3)))
+                rows.append(tuple(field.mul(c, x) for x in rng.choice(rows)))
+            else:
+                rows.append(random_row(rng, field, n))
+        expected = next(
+            ((i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))
+             if cross_multiplication_proportional(field, rows[i], rows[j])),
+            None,
+        )
+        assert first_proportional_pair(field, rows) == expected, rows
+        found += expected is not None
+    assert 0 < found < 400

@@ -55,6 +55,16 @@ def test_transform_gale_nonreduced_four_collinear():
     assert (e.value.i, e.value.j) == (4, 5)
 
 
+def test_transform_gale_nonreduced_reports_first_pair():
+    # the line y = 0 holds every point but 0 and 3, the line x = 0 every
+    # point but 1 and 2, so kernel rows 0, 3 and rows 1, 2 are proportional;
+    # a scan that stops at its first collision would report (1, 2)
+    cfg = PointConfiguration.new(QQ, 2, [[0, 3, 1], [2, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(GaleNonReduced) as e:
+        gale_transform(cfg)
+    assert (e.value.i, e.value.j) == (0, 3)
+
+
 def test_basepoint_free_and_very_ample():
     rng = rng_for("bpf")
     lgp = random_gale_friendly_configuration(rng, QQ, 2, 6)

@@ -5,7 +5,7 @@ import pytest
 from conftest import rng_for
 
 from galekit.errors import (
-    ConfigurationTooLarge,
+    TooLarge as ConfigurationTooLarge,
     DimensionMismatch,
     DuplicatePoint,
     WrongDegree,
@@ -53,6 +53,14 @@ def test_new_configuration_rejects_proportional():
     with pytest.raises(DuplicatePoint) as e:
         PointConfiguration.new(QQ, 1, [[1, 2], [2, 4]])
     assert (e.value.i, e.value.j) == (0, 1)
+
+
+def test_new_configuration_reports_first_proportional_pair():
+    # rows a, b, 2b, 3a: a scan that stops at its first collision would
+    # report (1, 2); the lexicographically first pair is (0, 3)
+    with pytest.raises(DuplicatePoint) as e:
+        PointConfiguration.new(QQ, 1, [[1, 2], [1, 5], [2, 10], [3, 6]])
+    assert (e.value.i, e.value.j) == (0, 3)
 
 
 def test_new_configuration_rejects_zero():

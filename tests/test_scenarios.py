@@ -1,9 +1,13 @@
 from itertools import combinations_with_replacement
 
+import pytest
 from conftest import rng_for
 
+from galekit import detnl
 from galekit.detnl import projective_representatives
+from galekit.errors import TooLarge
 from galekit.exactla import GF
+from galekit.exactla import ExactMatrix
 from galekit.gale import gale_transform
 from galekit.generators import random_points_on_curve
 from galekit.pointconfig import Equivalence, PointConfiguration, is_equivalent_labeled
@@ -82,3 +86,12 @@ def test_eleven_p6_plane_unique():
     report = demo_eleven_p6(seed=5, pool_seeds=3)
     assert report.plane_is_unique
     assert report.plane.rows == 3 and report.plane.cols == 7
+
+
+def test_base_locus_scan_refused_over_the_enumeration_limit(monkeypatch):
+    # with the limit just below 101^3 the P^3(F_101) scan must be refused
+    # up front, the way a large p is refused at the real limit
+    monkeypatch.setattr(detnl, "ENUMERATION_LIMIT", 101**3 - 1)
+    field = GF(101)
+    with pytest.raises(TooLarge):
+        quadric_net_base_locus(field, 3, ExactMatrix.identity(field, 10))
