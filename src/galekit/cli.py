@@ -39,6 +39,14 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def prime(text: str) -> int:
+    """Argument type of every ``--p``: a prime below 2^31, else a usage error."""
+    try:
+        return GF(int(text)).p
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 # -- report plumbing -----------------------------------------------------------
 
 
@@ -359,24 +367,24 @@ def build_parser() -> Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=int, help="prime field modulus (default: rationals)")
+    p.add_argument("--p", type=prime, help="prime field modulus (default: rationals)")
     p.set_defaults(handler=cmd_goppa_check)
 
     p = sub.add_parser("code", help="linear-code operations")
     code_sub = p.add_subparsers(dest="code_command", required=True)
     g = code_sub.add_parser("grs", help="build a generalized Reed-Solomon code")
-    g.add_argument("--p", type=int, required=True)
+    g.add_argument("--p", type=prime, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--multipliers", help="whitespace-separated nonzero scalars")
     g.set_defaults(handler=cmd_code)
     d = code_sub.add_parser("dual", help="dual of a code given by a generator file")
     d.add_argument("file")
-    d.add_argument("--p", type=int, required=True)
+    d.add_argument("--p", type=prime, required=True)
     d.set_defaults(handler=cmd_code)
     m = code_sub.add_parser("mindist", help="minimum distance by enumeration")
     m.add_argument("file")
-    m.add_argument("--p", type=int, required=True)
+    m.add_argument("--p", type=prime, required=True)
     m.set_defaults(handler=cmd_code)
 
     p = sub.add_parser("detnl", help="determinantal duality experiments")
@@ -384,7 +392,7 @@ def build_parser() -> Parser:
     v = detnl_sub.add_parser("verify", help="verify the Veronese Gale duality")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--s", type=int, required=True)
-    v.add_argument("--p", type=int, required=True)
+    v.add_argument("--p", type=prime, required=True)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--retries", type=int, default=50)
     v.set_defaults(handler=cmd_detnl_verify)
@@ -395,7 +403,7 @@ def build_parser() -> Parser:
     a.add_argument("--seed", type=int, default=0)
     a.set_defaults(handler=cmd_demo)
     b = demo_sub.add_parser("seven-p3", help="eighth-point projection experiment")
-    b.add_argument("--p", type=int, default=101)
+    b.add_argument("--p", type=prime, default=101)
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(handler=cmd_demo)
     c = demo_sub.add_parser("eleven-p6", help="distinguished plane of a completion")

@@ -22,6 +22,7 @@ from .errors import (
     TooLarge,
     TooManyPoints,
     VerificationFailed,
+    ZeroMultiplier,
 )
 from .exactla import ExactMatrix, PrimeField
 from .pointconfig import PointConfiguration
@@ -78,7 +79,7 @@ class GrsSpec:
         if len(ms) != n:
             raise DimensionMismatch("need one multiplier per point")
         if any(m == field.zero for m in ms):
-            raise ValueError("multipliers must be nonzero")
+            raise ZeroMultiplier("multipliers must be nonzero")
         if not 1 <= k < n:
             raise DimensionMismatch(f"need 1 <= k < n, got k={k}, n={n}")
         return GrsSpec(points, ms, k)

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DegreeOutOfRange, DimensionMismatch, NotLGP, VerificationFailed, WrongDegree
+from .errors import (
+    DegreeOutOfRange,
+    DimensionMismatch,
+    NotLGP,
+    TooManyPoints,
+    VerificationFailed,
+    WrongDegree,
+)
 from .exactla import ExactMatrix, Field
 from .gale import gale_transform
 from .pointconfig import Equivalence, PointConfiguration, is_equivalent_labeled
@@ -192,7 +199,7 @@ def sample_parameters(field: Field, count: int, avoid: Sequence = ()) -> PointCo
     t = 0
     while len(values) < count:
         if limit is not None and t >= limit:
-            raise ValueError(f"GF({limit}) has too few affine parameters")
+            raise TooManyPoints(f"GF({limit}) has too few affine parameters")
         pair = (field.one, field.coerce(t))
         if pair not in seen:
             values.append(t)

@@ -159,33 +159,6 @@ def projective_representatives_array(p: int, dim: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _rank_mod_p(rows: list, p: int) -> int:
-    m = [list(r) for r in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(rank, n_rows):
-            if m[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank]
-        inv = pow(lead[c], p - 2, p)
-        lead = [x * inv % p for x in lead]
-        m[rank] = lead
-        for i in range(rank + 1, n_rows):
-            fac = m[i][c] % p
-            if fac:
-                m[i] = [(x - fac * y) % p for x, y in zip(m[i], lead)]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 def _adjoint_coefficients(phi: TrilinearForm, side: Side) -> np.ndarray:
     """Row (row_index * f + m) holds the linear form of that matrix entry."""
     if side == "V":
@@ -242,11 +215,9 @@ def determinantal_locus(phi: TrilinearForm, side: Side) -> PointConfiguration:
     mask = _candidate_mask(entries, full, phi.f, p)
     hits = []
     for i in np.flatnonzero(mask):
-        row = entries[i]
-        matrix = [
-            [int(row[r * phi.f + m]) for m in range(phi.f)] for r in range(full)
-        ]
-        rank = _rank_mod_p(matrix, p)
+        row = entries[i].tolist()
+        matrix = tuple(tuple(row[k : k + phi.f]) for k in range(0, full * phi.f, phi.f))
+        rank = ExactMatrix(phi.field, matrix).rank()
         if rank == full:
             continue
         rep = tuple(int(x) for x in reps[i])
@@ -353,7 +324,9 @@ def random_rational_locus_tensor(
     conditions those incidences impose on the tensor, and draws a random
     solution; the exhaustive scan then verifies the loci.  The incidence
     prescription needs min(r, s) = 2; other shapes fall back to blind
-    sampling.  Returns the tensor and the number of attempts used.
+    sampling.  Returns the tensor and the number of attempts used.  A scan
+    refused with :class:`TooLarge` is raised at once: every draw would be
+    refused alike.
     """
     from .exactla import GF
 
@@ -373,7 +346,9 @@ def random_rational_locus_tensor(
             if gv.gamma != gamma or gw.gamma != gamma:
                 continue
             match_pairs(phi, gv, gw)
-        except (RankTwoDrop, LocusIncomplete, NotBijective, GaleKitError):
+        except TooLarge:
+            raise
+        except GaleKitError:
             continue
         return phi, attempt
     raise RetryBudgetExceeded(f"no rational-locus tensor found in {retries} attempts")

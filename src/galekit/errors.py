@@ -90,6 +90,10 @@ class TooManyPoints(GaleKitError):
     """More evaluation points than the projective line over GF(p) has."""
 
 
+class ZeroMultiplier(GaleKitError):
+    """A GRS code was given a zero column multiplier."""
+
+
 class ShapeMismatch(GaleKitError):
     """Codes live over different fields or have different lengths."""
 

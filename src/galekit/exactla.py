@@ -2,8 +2,12 @@
 
 Scalars are plain Python values: `Fraction` over the rationals, and an
 integer residue in ``[0, p)`` over GF(p).  A field object supplies the
-arithmetic, so every routine below works uniformly over both fields and
-returns bit-identical results for identical inputs.
+scalar arithmetic, so every routine below works uniformly over both fields
+and returns bit-identical results for identical inputs.  Rank, determinant,
+RREF, kernel, solution and inverse all come from one forward elimination,
+:func:`_echelon`, which does its row operations with the scalars' own
+operators; rank and determinant use the forward pass alone, and RREF adds
+one back-substitution sweep.
 """
 
 from __future__ import annotations
@@ -302,38 +306,21 @@ class ExactMatrix:
     def rref(self) -> RrefResult:
         """Reduced row-echelon form with pivot columns and rank.
 
-        The result is the unique RREF, so it doubles as a canonical form
-        for the row space.
+        The forward pass of :func:`_echelon`, then one sweep that clears
+        each pivot column above its pivot, last pivot first.  The result is
+        the unique RREF, so it doubles as a canonical form for the row space.
         """
         f = self.field
-        m = [list(row) for row in self.entries]
-        n_rows, n_cols = self.rows, self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(n_cols):
-            pivot_row = None
-            for i in range(r, n_rows):
-                if m[i][c] != f.zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
-            for i in range(n_rows):
-                if i != r and m[i][c] != f.zero:
-                    factor = m[i][c]
-                    m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == n_rows:
-                break
+        m, pivots, _ = _echelon(f, self.entries)
+        p = f.p if f.kind == "prime" else 0
+        for k in range(len(pivots) - 1, 0, -1):
+            c = pivots[k]
+            _clear_column(m[:k], c, m[k][c:], p)
         reduced = ExactMatrix(f, tuple(tuple(row) for row in m))
         return RrefResult(reduced, tuple(pivots), len(pivots))
 
     def rank(self) -> int:
-        return self.rref().rank
+        return len(_echelon(self.field, self.entries)[1])
 
     def kernel_basis(self) -> "ExactMatrix":
         """Basis of the right null space, as matrix columns.
@@ -393,69 +380,13 @@ class ExactMatrix:
         return ExactMatrix(self.field, tuple(row[n:] for row in res.reduced.entries))
 
     def det(self):
-        """Exact determinant.
-
-        Over the rationals, rows are cleared to integers and eliminated
-        fraction-free (Bareiss) to keep intermediate entries small; over a
-        prime field ordinary elimination is used.
-        """
+        """Exact determinant: the signed product of the pivots of the
+        forward elimination when every column has a pivot, else zero.
+        The 0 x 0 matrix has determinant one."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        if self.rows == 0:
-            return self.field.one
-        if self.field.kind == "rational":
-            return self._det_bareiss()
-        return self._det_mod_p()
-
-    def _det_bareiss(self) -> Fraction:
-        n = self.rows
-        m: list[list[int]] = []
-        scale = Fraction(1)
-        for row in self.entries:
-            mult = math.lcm(*(x.denominator for x in row))
-            scale *= mult
-            m.append([int(x * mult) for x in row])
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1]) / scale
-
-    def _det_mod_p(self) -> int:
-        f = self.field
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        det = f.one
-        for k in range(n):
-            pivot = None
-            for i in range(k, n):
-                if m[i][k] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                return f.zero
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                det = f.neg(det)
-            det = f.mul(det, m[k][k])
-            inv = f.inv(m[k][k])
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    factor = f.mul(m[i][k], inv)
-                    m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[k])]
-        return det
+        _, pivots, det = _echelon(self.field, self.entries)
+        return det if len(pivots) == self.rows else self.field.zero
 
     # -- text format -------------------------------------------------------
 
@@ -465,6 +396,66 @@ class ExactMatrix:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _clear_column(rows: list[list], c: int, tail: list, p: int) -> None:
+    """Subtract from each row its entry in column c times the unit pivot row.
+
+    ``tail`` is the pivot row from column c on; the pivot row is zero
+    before c, so each row is rewritten from column c on only.
+    """
+    if p:
+        for row in rows:
+            x = row[c]
+            if x:
+                row[c:] = [(a - x * b) % p for a, b in zip(row[c:], tail)]
+    else:
+        for row in rows:
+            x = row[c]
+            if x:
+                row[c:] = [a - x * b for a, b in zip(row[c:], tail)]
+
+
+def _echelon(field: Field, entries: Sequence[Sequence]) -> tuple[list[list], list[int], object]:
+    """Forward elimination to row-echelon form with unit pivots.
+
+    Returns the rows, the pivot columns, and the signed product of the
+    pivots (the determinant of a square input of full rank).  This is the
+    one elimination loop of galekit: every rank, determinant, RREF,
+    kernel, solution and inverse comes from it.  Row operations use the
+    scalars' own operators, ``x - c*y`` on Fractions and ``(x - c*y) % p``
+    on residues.
+    """
+    p = field.p if field.kind == "prime" else 0  # 0: rational arithmetic
+    m = [list(row) for row in entries]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    det = field.one
+    for c in range(n_cols):
+        r = len(pivots)
+        for i in range(r, n_rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            det = -det
+        row = m[r]
+        lead = row[c]
+        inv = field.inv(lead)
+        if p:
+            det = det * lead % p
+            row[c:] = tail = [x * inv % p for x in row[c:]]
+        else:
+            det *= lead
+            row[c:] = tail = [x * inv for x in row[c:]]
+        _clear_column(m[r + 1 :], c, tail, p)
+        pivots.append(c)
+        if r + 1 == n_rows:
+            break
+    return m, pivots, det
 
 
 def _dot(field: Field, u: Sequence, v: Sequence):

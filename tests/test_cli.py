@@ -121,6 +121,36 @@ def test_usage_error_exit_code(capsys):
     assert main(["check", "nonsense-property", "whatever.cfg"]) == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detnl", "verify", "--r", "2", "--s", "2", "--p", "4"],
+        ["code", "grs", "--p", "10", "--n", "5", "--k", "2"],
+        ["demo", "seven-p3", "--p", "102"],
+    ],
+    ids=["detnl", "code-grs", "seven-p3"],
+)
+def test_non_prime_modulus_is_usage_error(argv, capsys):
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "not prime" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["code", "grs", "--p", "13", "--n", "5", "--k", "2", "--multipliers", "0 1 1 1 1"],
+         "ZeroMultiplier"),
+        (["code", "grs", "--p", "5", "--n", "7", "--k", "2"], "TooManyPoints"),
+    ],
+    ids=["zero-multiplier", "too-few-parameters"],
+)
+def test_bad_code_parameters_are_errors(argv, name, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}:") and err.count("\n") == 1
+
+
 def test_json_and_text_carry_identical_facts(pascal_file, capsys):
     assert main(["--format", "json", "check", "self-associated", pascal_file]) == 0
     parsed = json.loads(capsys.readouterr().out)

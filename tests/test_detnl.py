@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import rng_for
 
+from galekit.cli import main
 from galekit.detnl import (
     TrilinearForm,
     _candidate_mask,
@@ -14,7 +15,7 @@ from galekit.detnl import (
     random_rational_locus_tensor,
     verify_veronese_gale,
 )
-from galekit.errors import DimensionMismatch, LocusIncomplete, RankTwoDrop
+from galekit.errors import DimensionMismatch, LocusIncomplete, RankTwoDrop, TooLarge
 from galekit.exactla import GF, ExactMatrix
 from galekit.pointconfig import Equivalence
 
@@ -249,3 +250,13 @@ def test_candidate_mask_exact_for_large_primes(p):
     expected = [det3(row) % p == 0 for row in rows]
     assert sum(expected) >= 100
     assert mask.tolist() == expected
+
+
+def test_sampler_lets_size_refusal_propagate(capsys):
+    # p^2 = 3163^2 > ENUMERATION_LIMIT: every draw would be refused, so the
+    # first refusal is raised instead of spending the retries on it
+    with pytest.raises(TooLarge):
+        random_rational_locus_tensor(3163, 2, 2, retries=3)
+    assert main(["detnl", "verify", "--r", "2", "--s", "2", "--p", "3163", "--retries", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "TooLarge" in err and "RetryBudgetExceeded" not in err

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -54,6 +55,39 @@ def cofactor_det(entries):
             term *= entries[i][perm[i]]
         total += term
     return total
+
+
+def bareiss_det(entries):
+    """Fraction-free determinant (Bareiss, Math. Comp. 1968) of a rational
+    matrix: rows are cleared to integers and every division is exact.
+
+    The library computed rational determinants this way before all of its
+    determinants came from the one forward elimination; kept as an oracle.
+    """
+    n = len(entries)
+    m: list[list[int]] = []
+    scale = Fraction(1)
+    for row in entries:
+        mult = math.lcm(*(x.denominator for x in row))
+        scale *= mult
+        m.append([int(x * mult) for x in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return Fraction(sign * m[n - 1][n - 1]) / scale
 
 
 # -- fields -------------------------------------------------------------------
@@ -208,6 +242,18 @@ def test_det_matches_cofactor_oracle():
     for _ in range(10):
         m = rand_matrix(rng, QQ, 6, 6)
         assert m.det() == cofactor_det(m.entries)
+
+
+def test_det_matches_bareiss_oracle():
+    rng = rng_for("det-bareiss")
+    for n in range(1, 12):
+        for _ in range(4):
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                    for _ in range(n)]
+            if rng.random() < 0.3:
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[n // 2])]
+            det = ExactMatrix.from_rows(QQ, rows).det()
+            assert det == bareiss_det(rows) and type(det) is Fraction
 
 
 def test_det_rational_entries():
