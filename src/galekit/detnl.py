@@ -326,10 +326,13 @@ def random_rational_locus_tensor(
     prescription needs min(r, s) = 2; other shapes fall back to blind
     sampling.  Returns the tensor and the number of attempts used.  A scan
     refused with :class:`TooLarge` is raised at once: every draw would be
-    refused alike.
+    refused alike.  So is :class:`DimensionMismatch` for r or s below 1,
+    before any draw.
     """
     from .exactla import GF
 
+    if r < 1 or s < 1:
+        raise DimensionMismatch(f"need r, s >= 1, got r={r}, s={s}")
     fld = GF(p)
     gamma = math.comb(r + s, s)
     rng = random.Random(f"galekit-detnl-{p}-{r}-{s}-{seed}")

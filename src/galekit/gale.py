@@ -36,10 +36,15 @@ class GaleResult:
 
 
 def _kernel_rows(cfg: PointConfiguration) -> ExactMatrix:
-    """Kernel of G^T arranged as gamma rows of gamma - rank(G) entries."""
-    if cfg.coords.rank() < cfg.r + 1:
+    """Kernel of G^T arranged as gamma rows of gamma - r - 1 entries.
+
+    A wider kernel means rank(G) < r + 1, which the one elimination
+    behind the kernel basis shows without a separate rank pass.
+    """
+    k = cfg.coords.transpose().kernel_basis()
+    if k.cols > cfg.gamma - cfg.r - 1:
         raise Degenerate(f"points span only a subspace of P^{cfg.r}")
-    return cfg.coords.transpose().kernel_basis()
+    return k
 
 
 def gale_transform(cfg: PointConfiguration) -> GaleResult:

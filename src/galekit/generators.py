@@ -8,7 +8,7 @@ import random
 from typing import Sequence
 
 from .curves import parameter_list, rnc_embed
-from .errors import DuplicatePoint, GaleKitError, RetryBudgetExceeded, ZeroPoint
+from .errors import DuplicatePoint, GaleKitError, RetryBudgetExceeded, TooManyPoints, ZeroPoint
 from .exactla import ExactMatrix, Field
 from .gale import gale_transform
 from .pointconfig import PointConfiguration
@@ -86,12 +86,20 @@ def random_parameters(
     allow_infinity: bool = False,
     spread: int = 30,
 ) -> PointConfiguration:
-    """Distinct points of P^1, as affine values plus an optional infinity."""
+    """Distinct points of P^1, as affine values plus an optional infinity.
+
+    Raises :class:`TooManyPoints` before any draw when fewer than `count`
+    values exist: the p residues over GF(p), the integers in [-spread,
+    spread] over QQ, plus infinity when it was chosen.
+    """
     values: list = []
     seen = set()
     want_infinity = allow_infinity and rng.random() < 0.3
     if want_infinity:
         values.append(None)
+    available = len(values) + (field.p if field.kind == "prime" else 2 * spread + 1)
+    if count > available:
+        raise TooManyPoints(f"{count} distinct parameters requested, {available} available")
     while len(values) < count:
         if field.kind == "prime":
             t = rng.randrange(field.p)

@@ -90,9 +90,6 @@ class PointConfiguration:
     def point(self, i: int) -> tuple:
         return self.coords.entries[i]
 
-    def all_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.gamma))
-
     def permuted(self, order: Sequence[int]) -> "PointConfiguration":
         """Configuration whose row i is the old row order[i]."""
         if sorted(order) != list(range(self.gamma)):
@@ -201,10 +198,14 @@ class PointConfiguration:
         instead of the full power set; a rank-k flat matters only when it
         holds at least threshold(k) points, which rules out whole sizes
         (k = r+1 always, and k = 1 by row distinctness) before any scan.
+        A flat is given by its annihilator, the kernel basis of the
+        spanning subset's rows, which one elimination yields; a point lies
+        on the flat exactly when its row of ``coords @ normals`` is zero.
         """
         gamma, rp1 = self.gamma, self.r + 1
         if gamma > SUBSET_SCAN_LIMIT:
             raise TooLarge(f"gamma = {gamma} exceeds {SUBSET_SCAN_LIMIT}")
+        f = self.field
 
         def ok(rank: int, m: int) -> bool:
             lhs, rhs = rank * gamma, m * rp1
@@ -224,30 +225,14 @@ class PointConfiguration:
             if threshold > gamma - 1:
                 continue
             for combo in combinations(range(gamma), size):
-                res = self.coords.submatrix(combo).rref()
-                if res.rank < size:
+                normals = self.coords.submatrix(combo).kernel_basis()
+                if normals.cols > rp1 - size:
                     continue  # this flat is spanned by a smaller subset
-                members = self._count_points_in_row_space(res, stop_at=threshold)
+                incidences = (self.coords @ normals).entries
+                members = sum(1 for row in incidences if row_is_zero(f, row))
                 if members >= threshold:
                     return False
         return True
-
-    def _count_points_in_row_space(self, rref_result, stop_at: Optional[int] = None) -> int:
-        f = self.field
-        red = rref_result.reduced.entries
-        pivots = rref_result.pivot_columns
-        count = 0
-        for row in self.coords.entries:
-            v = list(row)
-            for i, pc in enumerate(pivots):
-                if v[pc] != f.zero:
-                    c = v[pc]
-                    v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, red[i])]
-            if all(x == f.zero for x in v):
-                count += 1
-                if stop_at is not None and count >= stop_at:
-                    return count
-        return count
 
     def partition_into_two_bases(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Split 2r+2 points into two spanning (r+1)-subsets.
@@ -276,29 +261,25 @@ class PointConfiguration:
 
         Returns m with point[subset[i]] . m proportional to e_i for i <= r
         and point[subset[r+1]] . m proportional to (1, ..., 1); None when
-        the subset is not a frame.
+        the subset is not a frame.  With B the basis rows and c = last . B^-1
+        the coordinates of the last point, m = B^-1 . diag(1/c), which is
+        (diag(c) . B)^-1.
         """
         f = self.field
         s = validate_subset(subset, self.gamma)
         if len(s) != self.r + 2:
             raise DimensionMismatch("a frame has r+2 points")
-        basis = self.coords.submatrix(s[: self.r + 1])
-        last = ExactMatrix(f, (self.point(s[self.r + 1]),))
-        # coefficients of the last point in the chosen basis
-        coeffs = basis.transpose().solve(last.transpose())
-        if coeffs is None:
+        inv = self.coords.submatrix(s[: self.r + 1]).inverse()
+        if inv is None:
             return None
-        c = coeffs.column(0)
+        last = ExactMatrix(f, (self.point(s[self.r + 1]),))
+        c = (last @ inv).entries[0]
         if any(x == f.zero for x in c):
             return None
-        scaled = ExactMatrix(
-            f,
-            tuple(
-                tuple(f.mul(ci, x) for x in row)
-                for ci, row in zip(c, basis.entries)
-            ),
+        d = [f.inv(x) for x in c]
+        return ExactMatrix(
+            f, tuple(tuple(f.mul(x, di) for x, di in zip(row, d)) for row in inv.entries)
         )
-        return scaled.inverse()
 
     def normalized_rows(self) -> "PointConfiguration":
         """Scale every row so its first nonzero entry is one."""
@@ -318,7 +299,8 @@ class PointConfiguration:
         for subset in combinations(range(self.gamma), self.r + 2):
             m = self.frame_transformation(subset)
             if m is not None:
-                return self.transformed(m).normalized_rows()
+                # m is an inverse by construction: no invertibility check
+                return PointConfiguration(self.coords @ m).normalized_rows()
         return None
 
     # -- direct sums ----------------------------------------------------------------
@@ -337,27 +319,25 @@ class PointConfiguration:
 
 
 def is_equivalent_labeled(a: PointConfiguration, b: PointConfiguration) -> Equivalence:
-    """Decide labeled projective equivalence via a shared frame.
+    """Decide labeled projective equivalence by comparing canonical forms.
 
-    Both configurations are normalized with the first point subset that is
-    a frame in each; equality of the normal forms is then exact.  When no
-    common frame subset exists the question is left open.
+    Being a frame is invariant under projective transformations and row
+    scaling, so equivalent configurations have the same first frame, and
+    the map sending it to the standard frame is unique up to a scalar:
+    their canonical forms are equal.  Conversely, equal canonical forms
+    compose to an equivalence.  A configuration with a frame is therefore
+    never equivalent to one without.  The question is left open
+    (INDETERMINATE) only when neither configuration has a frame, for
+    example with fewer than r+2 points or points spanning a proper subspace.
     """
     if a.gamma != b.gamma or a.r != b.r or a.field != b.field:
         return Equivalence.NOT_EQUIVALENT
-    for subset in combinations(range(a.gamma), a.r + 2):
-        ma = a.frame_transformation(subset)
-        if ma is None:
-            continue
-        mb = b.frame_transformation(subset)
-        if mb is None:
-            continue
-        na = a.transformed(ma).normalized_rows()
-        nb = b.transformed(mb).normalized_rows()
-        if na.coords == nb.coords:
-            return Equivalence.EQUIVALENT
-        return Equivalence.NOT_EQUIVALENT
-    return Equivalence.INDETERMINATE
+    na, nb = a.canonical_form(), b.canonical_form()
+    if na is None and nb is None:
+        return Equivalence.INDETERMINATE
+    if na is not None and nb is not None and na.coords == nb.coords:
+        return Equivalence.EQUIVALENT
+    return Equivalence.NOT_EQUIVALENT
 
 
 # -- configuration file format ---------------------------------------------------

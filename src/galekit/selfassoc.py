@@ -59,9 +59,6 @@ class DiagonalBilinearForm:
     field: Field
     diagonal: tuple
 
-    def is_nonsingular(self) -> bool:
-        return all(d != self.field.zero for d in self.diagonal)
-
     def pairing(self, u: Sequence, v: Sequence):
         f = self.field
         acc = f.zero

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +171,22 @@ def test_json_golden_pascal(pascal_file, capsys):
     assert parsed["source"]["points"] == 6
     witness = parsed["witness"].split()
     assert len(witness) == 6 and all(w != "0" for w in witness)
+
+
+def test_goppa_check_more_parameters_than_field_points():
+    """GF(7) has only seven affine parameters; nine used to loop forever."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "galekit.cli", "goppa-check", "--n", "9", "--h", "3", "--p", "7"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: TooManyPoints:")
+
+
+@pytest.mark.parametrize("r", ["-1", "0"])
+def test_detnl_verify_rejects_dimension_below_one(r, capsys):
+    assert main(["detnl", "verify", "--r", r, "--s", "2", "--p", "31"]) == 2
+    assert capsys.readouterr().err.startswith("error: DimensionMismatch:")
