@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import moment_vector
+from .detnl import projective_blocks
 from .errors import (
     ENUMERATION_LIMIT,
     DimensionMismatch,
@@ -153,7 +154,10 @@ def grs_dual_multipliers(spec: GrsSpec) -> tuple:
 def min_distance(code: LinearCode) -> int:
     """Minimum Hamming weight by exhaustive message enumeration.
 
-    Vectorized over blocks of messages in exact int64 arithmetic.
+    A codeword's weight does not change when its message is scaled by a
+    nonzero constant, so one message per point of P^(k-1)(F_p) suffices:
+    (p^k - 1)/(p - 1) words instead of p^k - 1.  The refusal still counts
+    all p^k messages.  Vectorized over blocks in exact int64 arithmetic.
     """
     p, k, n = code.field.p, code.k, code.n
     total = p**k
@@ -161,13 +165,7 @@ def min_distance(code: LinearCode) -> int:
         raise TooLarge(f"p^k = {total} exceeds {ENUMERATION_LIMIT}")
     gen = np.array([[int(x) for x in row] for row in code.generator.entries], dtype=np.int64)
     best = n
-    block = 1 << 15
-    for start in range(1, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        msgs = np.empty((stop - start, k), dtype=np.int64)
-        for c in range(k):
-            msgs[:, c] = (idx // p**c) % p
+    for msgs in projective_blocks(p, k - 1):
         # p**k <= ENUMERATION_LIMIT, so each sum of k products of residues
         # is below k p^2 <= 10^14 < 2^63
         words = msgs @ gen % p
@@ -187,22 +185,3 @@ def code_points(code: LinearCode) -> PointConfiguration:
     return PointConfiguration.new(
         code.field, code.k - 1, [code.generator.column(j) for j in range(code.n)]
     )
-
-
-def classical_dual_products(spec: GrsSpec) -> tuple:
-    """Closed-form kernel vector for affine points: 1 / prod of differences."""
-    f = spec.field
-    ts = []
-    for j in range(spec.n):
-        a, b = spec.points.point(j)
-        if a == f.zero:
-            raise ValueError("closed form needs affine evaluation points")
-        ts.append(f.div(b, a))
-    out = []
-    for j, tj in enumerate(ts):
-        prod = f.one
-        for l, tl in enumerate(ts):
-            if l != j:
-                prod = f.mul(prod, f.sub(tj, tl))
-        out.append(f.inv(prod))
-    return tuple(out)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Literal, Optional
 
 import numpy as np
@@ -126,37 +125,33 @@ def adjoint_eval(phi: TrilinearForm, side: Side, point) -> ExactMatrix:
     return ExactMatrix(fld, rows)
 
 
-def projective_representatives(p: int, dim: int):
-    """All points of P^dim(F_p), one representative each, ascending lex order.
-
-    Representatives have first nonzero coordinate equal to one.
-    """
-    for lead in range(dim, -1, -1):
-        zeros = (0,) * lead
-        for tail in product(range(p), repeat=dim - lead):
-            yield zeros + (1,) + tail
+_BLOCK_ROWS = 1 << 14  # rows per block of projective_blocks
 
 
-def projective_representatives_array(p: int, dim: int) -> np.ndarray:
-    """The same representatives in the same order, as int64 rows.
+def projective_blocks(p: int, dim: int):
+    """All points of P^dim(F_p) as int64 row blocks of at most _BLOCK_ROWS
+    rows, one representative each (first nonzero coordinate one), in
+    ascending lex order.
 
-    Refused with :class:`TooLarge` before anything is allocated when
-    p**dim exceeds ``ENUMERATION_LIMIT``.
+    Refused with :class:`TooLarge` by the call itself, before anything is
+    allocated, when p**dim exceeds ``ENUMERATION_LIMIT``.
     """
     if p**dim > ENUMERATION_LIMIT:
         raise TooLarge(f"p^dim = {p}^{dim} exceeds {ENUMERATION_LIMIT}")
-    blocks = []
+    return _blocks(p, dim)
+
+
+def _blocks(p: int, dim: int):
     for lead in range(dim, -1, -1):
         tail = dim - lead
         count = p**tail
-        block = np.zeros((count, dim + 1), dtype=np.int64)
-        block[:, lead] = 1
-        if tail:
-            idx = np.arange(count, dtype=np.int64)
+        for start in range(0, count, _BLOCK_ROWS):
+            idx = np.arange(start, min(start + _BLOCK_ROWS, count), dtype=np.int64)
+            block = np.zeros((idx.size, dim + 1), dtype=np.int64)
+            block[:, lead] = 1
             for t in range(tail):
                 block[:, lead + 1 + t] = (idx // p ** (tail - 1 - t)) % p
-        blocks.append(block)
-    return np.concatenate(blocks)
+            yield block
 
 
 def _adjoint_coefficients(phi: TrilinearForm, side: Side) -> np.ndarray:
@@ -200,30 +195,30 @@ def determinantal_locus(phi: TrilinearForm, side: Side) -> PointConfiguration:
 
     Scans every point of the relevant projective space over GF(p); a drop
     by two or more anywhere rejects the tensor, since then the opposite
-    locus is not a finite reduced set of points.  The scan is bulk
-    prefiltered by a single maximal minor where possible; the per-point
-    classification is always an exact rank computation.
+    locus is not a finite reduced set of points.  The points are streamed
+    in blocks, each prefiltered in bulk by a single maximal minor where
+    possible; the per-point classification is always an exact rank
+    computation.
     """
     dim = phi.r if side == "V" else phi.s
     p = phi.field.p
     full = (phi.s if side == "V" else phi.r) + 1
-    reps = projective_representatives_array(p, dim)
     coeffs = _adjoint_coefficients(phi, side)
-    # p**dim <= ENUMERATION_LIMIT, so each sum of dim+1 products of residues
-    # is below (dim+1) p^2 <= 2 * 10^14 < 2^63
-    entries = reps @ coeffs.T % p
-    mask = _candidate_mask(entries, full, phi.f, p)
     hits = []
-    for i in np.flatnonzero(mask):
-        row = entries[i].tolist()
-        matrix = tuple(tuple(row[k : k + phi.f]) for k in range(0, full * phi.f, phi.f))
-        rank = ExactMatrix(phi.field, matrix).rank()
-        if rank == full:
-            continue
-        rep = tuple(int(x) for x in reps[i])
-        if rank < full - 1:
-            raise RankTwoDrop(rep)
-        hits.append(rep)
+    for reps in projective_blocks(p, dim):
+        # p**dim <= ENUMERATION_LIMIT, so each sum of dim+1 products of residues
+        # is below (dim+1) p^2 <= 2 * 10^14 < 2^63
+        entries = reps @ coeffs.T % p
+        for i in np.flatnonzero(_candidate_mask(entries, full, phi.f, p)):
+            row = entries[i].tolist()
+            matrix = tuple(tuple(row[k : k + phi.f]) for k in range(0, full * phi.f, phi.f))
+            rank = ExactMatrix(phi.field, matrix).rank()
+            if rank == full:
+                continue
+            rep = tuple(int(x) for x in reps[i])
+            if rank < full - 1:
+                raise RankTwoDrop(rep)
+            hits.append(rep)
     if not hits:
         raise LocusIncomplete(f"side {side} has no rational rank-drop points")
     return PointConfiguration.new(phi.field, dim, sorted(hits))

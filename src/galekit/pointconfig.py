@@ -212,7 +212,7 @@ class PointConfiguration:
             return lhs > rhs if strict else lhs >= rhs
 
         # singletons, and proper subsets whose span contains every point
-        if not ok(1, 1):
+        if gamma > 1 and not ok(1, 1):
             return False
         if not ok(self.coords.rank(), gamma - 1):
             return False

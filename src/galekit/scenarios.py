@@ -4,7 +4,9 @@ The centerpiece is the seven-points experiment: seven general points of
 P^3 over GF(p) lie on a net of three quadrics whose base locus is eight
 points, and projecting the seven from the eighth reproduces their Gale
 transform.  The eighth point is found by brute-force enumeration of
-P^3(F_p), vectorized with integer numpy arithmetic (exact mod p).
+P^3(F_p), streamed in blocks of points with integer numpy arithmetic
+(exact mod p); each block is filtered by the first quadric, and only its
+zeros meet the other two.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detnl import projective_representatives_array
+from .detnl import projective_blocks
 from .errors import RetryBudgetExceeded, VerificationFailed
 from .exactla import GF, QQ, ExactMatrix, PrimeField, normalize_row
 from .gale import gale_transform
@@ -41,26 +43,35 @@ def quadrics_through(cfg: PointConfiguration) -> ExactMatrix:
 def quadric_net_base_locus(
     field: PrimeField, dim: int, quadrics: ExactMatrix
 ) -> list[tuple]:
-    """Common zeros in P^dim(F_p) of the quadrics given by coefficient columns.
+    """Common zeros in P^dim(F_p) of the quadrics given by coefficient columns,
+    in enumeration order.
 
-    Refused with :class:`~galekit.errors.TooLarge` before any allocation
-    when p**dim exceeds the enumeration limit.
+    The points are streamed in blocks; per block the first quadric is
+    evaluated everywhere and each further one only on the zeros of those
+    before it, about 1/p of the rows per quadric.  Refused with
+    :class:`~galekit.errors.TooLarge` before any allocation when p**dim
+    exceeds the enumeration limit.
     """
     p = field.p
-    reps = projective_representatives_array(p, dim)
     monomials = list(combinations_with_replacement(range(dim + 1), 2))
-    values = np.empty((reps.shape[0], len(monomials)), dtype=np.int64)
-    for m, (i, j) in enumerate(monomials):
-        values[:, m] = reps[:, i] * reps[:, j] % p
     coeffs = np.array(
         [[int(x) for x in quadrics.column(c)] for c in range(quadrics.cols)],
         dtype=np.int64,
-    ).T
-    # p**dim <= ENUMERATION_LIMIT, so each sum of C(dim+2, 2) products of
-    # residues is below C(dim+2, 2) p^2 <= 3 * 10^14 < 2^63
-    evaluations = values @ coeffs % p
-    mask = np.all(evaluations == 0, axis=1)
-    return [tuple(int(x) for x in row) for row in reps[mask]]
+    )
+    locus = []
+    for reps in projective_blocks(p, dim):
+        # monomial-major, so every product and every quadric runs over contiguous rows
+        columns = reps.T
+        values = np.empty((len(monomials), reps.shape[0]), dtype=np.int64)
+        for m, (i, j) in enumerate(monomials):
+            values[m] = columns[i] * columns[j] % p
+        for quadric in coeffs:
+            # p**dim <= ENUMERATION_LIMIT, so each sum of C(dim+2, 2) products
+            # of residues is below C(dim+2, 2) p^2 <= 3 * 10^14 < 2^63
+            zeros = quadric @ values % p == 0
+            reps, values = reps[zeros], values[:, zeros]
+        locus.extend(tuple(int(x) for x in row) for row in reps)
+    return locus
 
 
 def project_from_point(cfg: PointConfiguration, center: Sequence) -> PointConfiguration:

@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 from conftest import rng_for
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from galekit.codes import (
     GrsSpec,
     LinearCode,
-    classical_dual_products,
     code_points,
     dual_code,
     grs_code,
@@ -18,6 +20,47 @@ from galekit.exactla import GF, ExactMatrix, rows_proportional
 from galekit.gale import gale_transform
 from galekit.generators import random_matrix
 from galekit.pointconfig import Equivalence, is_equivalent_labeled
+
+
+def classical_dual_products(spec: GrsSpec) -> tuple:
+    """Closed-form kernel vector for affine points: 1 / prod of differences."""
+    f = spec.field
+    ts = []
+    for j in range(spec.n):
+        a, b = spec.points.point(j)
+        if a == f.zero:
+            raise ValueError("closed form needs affine evaluation points")
+        ts.append(f.div(b, a))
+    out = []
+    for j, tj in enumerate(ts):
+        prod = f.one
+        for l, tl in enumerate(ts):
+            if l != j:
+                prod = f.mul(prod, f.sub(tj, tl))
+        out.append(f.inv(prod))
+    return tuple(out)
+
+
+def min_distance_all_messages(code: LinearCode) -> int:
+    """Minimum weight over all p^k - 1 nonzero messages, each decoded from
+    its index: the oracle for the projective enumeration of min_distance."""
+    p, k, n = code.field.p, code.k, code.n
+    total = p**k
+    gen = np.array([[int(x) for x in row] for row in code.generator.entries], dtype=np.int64)
+    best = n
+    block = 1 << 15
+    for start in range(1, total, block):
+        stop = min(start + block, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        msgs = np.empty((stop - start, k), dtype=np.int64)
+        for c in range(k):
+            msgs[:, c] = (idx // p**c) % p
+        words = msgs @ gen % p
+        weights = np.count_nonzero(words, axis=1)
+        best = min(best, int(weights.min()))
+        if best == 1:
+            break
+    return best
 
 
 def affine_spec(p, n, k, multipliers=None):
@@ -165,6 +208,47 @@ def test_min_distance_too_large():
     code = grs_code(affine_spec(101, 12, 7))
     with pytest.raises(TooLarge):
         min_distance(code)
+
+
+@st.composite
+def full_rank_codes(draw, field):
+    """Generators of rank k whose columns are fresh, zero, unit vectors, or
+    nonzero multiples of earlier columns, so non-MDS codes and codes of
+    distance one are common."""
+    p = field.p
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 9))
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "unit", "repeat")))
+        if kind == "zero":
+            column = [0] * k
+        elif kind == "unit":
+            i = draw(st.integers(0, k - 1))
+            column = [int(j == i) for j in range(k)]
+        elif kind == "repeat" and columns:
+            scale = draw(st.integers(1, p - 1))
+            column = [x * scale % p for x in draw(st.sampled_from(columns))]
+        else:
+            column = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+        columns.append(column)
+    generator = ExactMatrix.from_rows(field, [list(row) for row in zip(*columns)])
+    assume(generator.rank() == k)
+    return LinearCode.new(generator)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_min_distance_matches_all_messages(p, data):
+    code = data.draw(full_rank_codes(GF(p)))
+    assert min_distance(code) == min_distance_all_messages(code)
+
+
+def test_min_distance_one_matches_all_messages():
+    # the message e_0 has weight one; the search stops there
+    code = LinearCode.new(ExactMatrix.from_rows(GF(5), [[1, 0, 0, 0], [0, 1, 2, 3]]))
+    assert min_distance(code) == min_distance_all_messages(code) == 1
 
 
 def test_dual_columns_are_gale_transform():

@@ -2,8 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from conftest import rng_for
+from conftest import projective_representatives, rng_for
 
+from galekit import detnl
 from galekit.cli import main
 from galekit.detnl import (
     TrilinearForm,
@@ -11,7 +12,7 @@ from galekit.detnl import (
     adjoint_eval,
     determinantal_locus,
     match_pairs,
-    projective_representatives,
+    projective_blocks,
     random_rational_locus_tensor,
     verify_veronese_gale,
 )
@@ -97,6 +98,42 @@ def test_projective_representatives_order_and_count():
     assert reps[0] == (0, 0, 1)
     assert reps == sorted(reps)
     assert all(next(x for x in rep if x) == 1 for rep in reps)
+
+
+@pytest.mark.parametrize("p, dim", [(2, 0), (2, 4), (3, 2), (5, 2), (7, 1), (3, 3)])
+def test_projective_blocks_concatenate_to_representatives(monkeypatch, p, dim):
+    # blocks of five rows end inside the runs of one leading coordinate
+    monkeypatch.setattr(detnl, "_BLOCK_ROWS", 5)
+    blocks = list(projective_blocks(p, dim))
+    assert all(b.dtype == np.int64 and 1 <= b.shape[0] <= 5 for b in blocks)
+    rows = [tuple(int(x) for x in row) for b in blocks for row in b]
+    assert rows == list(projective_representatives(p, dim))
+
+
+def test_projective_blocks_refused_by_the_call():
+    with pytest.raises(TooLarge):
+        projective_blocks(101, 4)  # 101^4 > 10^7, refused before any next()
+
+
+def locus_outcome(phi, side):
+    try:
+        return determinantal_locus(phi, side).coords.entries
+    except (RankTwoDrop, LocusIncomplete) as exc:
+        return type(exc).__name__, exc.args
+
+
+def test_locus_same_in_small_blocks(monkeypatch):
+    rng = rng_for("locus-blocks")
+    tensors = [random_rational_locus_tensor(7, 2, 2, seed=3)[0],
+               random_rational_locus_tensor(5, 2, 3, seed=1)[0]]
+    tensors += [random_tensor(rng, GF(7), r, s) for r, s in ((1, 1), (1, 2), (2, 2), (2, 2))]
+    # the adjoint vanishes at (1, 0, 0) of P(V): a drop by two there
+    flat = random_tensor(rng, GF(7), 2, 2)
+    tensors.append(TrilinearForm.new(GF(7), [[[0] * 3] + list(slab[1:]) for slab in flat.entries]))
+    cases = [(phi, side) for phi in tensors for side in ("V", "W")]
+    whole = [locus_outcome(phi, side) for phi, side in cases]
+    monkeypatch.setattr(detnl, "_BLOCK_ROWS", 5)
+    assert [locus_outcome(phi, side) for phi, side in cases] == whole
 
 
 def test_locus_r1_s1_at_most_two_points():

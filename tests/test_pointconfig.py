@@ -213,6 +213,13 @@ def test_four_distinct_points_on_line_stable():
     assert cfg.is_semistable()
 
 
+def test_single_point_is_stable():
+    # one point has no proper nonempty subset, so every subset bound holds
+    cfg = PointConfiguration.new(QQ, 1, [[0, 1]])
+    assert cfg.is_semistable()
+    assert cfg.is_stable()
+
+
 def test_semistable_not_stable_four_collinear():
     cfg = collinear_plus_free(QQ, 4, [[0, 0, 1], [1, 1, 1]])
     # m = 4 collinear points: span dim 1 == 4*3/6 - 1 exactly

@@ -103,9 +103,7 @@ def is_frame(cfg, subset):
 @SETTINGS
 @given(data=st.data())
 def test_stability_matches_subset_bounds(field, data):
-    # one point has no proper nonempty subset; _stability tests it as a
-    # singleton anyway, so the subset definition is compared from two points
-    cfg = data.draw(configurations(field, min_points=2))
+    cfg = data.draw(configurations(field, min_points=1))
     assert cfg.is_semistable() == git_bounds_hold(cfg, strict=False)
     assert cfg.is_stable() == git_bounds_hold(cfg, strict=True)
 

@@ -1,10 +1,9 @@
 from itertools import combinations_with_replacement
 
 import pytest
-from conftest import rng_for
+from conftest import projective_representatives, rng_for
 
 from galekit import detnl
-from galekit.detnl import projective_representatives
 from galekit.errors import TooLarge
 from galekit.exactla import GF
 from galekit.exactla import ExactMatrix
@@ -41,6 +40,23 @@ def test_base_locus_matches_naive_enumeration():
         ):
             slow.add(rep)
     assert fast == slow
+
+
+def test_base_locus_same_in_small_blocks(monkeypatch):
+    # blocks of five rows end inside the runs of one leading coordinate
+    field = GF(7)
+    rng = rng_for("locus-blocks")
+    nets = [
+        quadrics_through(PointConfiguration.new(field, 3, [[rng.randrange(7) for _ in range(4)]
+                                                            for _ in range(7)]))
+        for _ in range(3)
+    ]
+    nets.append(ExactMatrix.identity(field, 10).submatrix([0, 4]).transpose())  # x0^2, x1^2
+    whole = [quadric_net_base_locus(field, 3, net) for net in nets]
+    monkeypatch.setattr(detnl, "_BLOCK_ROWS", 5)
+    test_base_locus_matches_naive_enumeration()
+    assert [quadric_net_base_locus(field, 3, net) for net in nets] == whole
+    assert all(locus == sorted(locus) for locus in whole)
 
 
 def test_projection_drops_dimension():
