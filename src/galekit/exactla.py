@@ -4,10 +4,11 @@ Scalars are plain Python values: `Fraction` over the rationals, and an
 integer residue in ``[0, p)`` over GF(p).  A field object supplies the
 scalar arithmetic, so every routine below works uniformly over both fields
 and returns bit-identical results for identical inputs.  Rank, determinant,
-RREF, kernel, solution and inverse all come from one forward elimination,
+RREF, kernel and inverse all come from one forward elimination,
 :func:`_echelon`, which does its row operations with the scalars' own
 operators; rank and determinant use the forward pass alone, and RREF adds
-one back-substitution sweep.
+one back-substitution sweep.  :func:`subset_ranks` gives the rank of every
+row subset from one depth-first walk with the same row operation.
 """
 
 from __future__ import annotations
@@ -345,27 +346,6 @@ class ExactMatrix:
             return ExactMatrix(f, tuple(() for _ in range(self.cols)))
         return ExactMatrix(f, tuple(zip(*columns)))
 
-    def solve(self, b: "ExactMatrix") -> Optional["ExactMatrix"]:
-        """Solve self @ x = b; None when inconsistent.
-
-        Returns the particular solution with every free variable zero.
-        """
-        self._check_field(b)
-        if b.rows != self.rows:
-            raise DimensionMismatch("right-hand side has wrong row count")
-        f = self.field
-        aug = self.hstack(b)
-        res = aug.rref()
-        n = self.cols
-        if any(c >= n for c in res.pivot_columns):
-            return None
-        red = res.reduced.entries
-        x = [[f.zero] * b.cols for _ in range(n)]
-        for i, pc in enumerate(res.pivot_columns):
-            for j in range(b.cols):
-                x[pc][j] = red[i][n + j]
-        return ExactMatrix(f, tuple(tuple(row) for row in x))
-
     def inverse(self) -> Optional["ExactMatrix"]:
         """Inverse of a square matrix; None when singular."""
         if self.rows != self.cols:
@@ -422,7 +402,7 @@ def _echelon(field: Field, entries: Sequence[Sequence]) -> tuple[list[list], lis
     Returns the rows, the pivot columns, and the signed product of the
     pivots (the determinant of a square input of full rank).  This is the
     one elimination loop of galekit: every rank, determinant, RREF,
-    kernel, solution and inverse comes from it.  Row operations use the
+    kernel and inverse comes from it.  Row operations use the
     scalars' own operators, ``x - c*y`` on Fractions and ``(x - c*y) % p``
     on residues.
     """
@@ -458,18 +438,46 @@ def _echelon(field: Field, entries: Sequence[Sequence]) -> tuple[list[list], lis
     return m, pivots, det
 
 
+def subset_ranks(field: Field, entries: Sequence[Sequence]) -> bytes:
+    """Rank of every subset of the rows, indexed by bitmask (bit i: row i).
+
+    A depth-first walk: each subset extends its parent (itself without its
+    highest row), whose later rows are kept reduced against its echelon
+    basis.  A nonzero reduced row joins the basis as a unit pivot row and
+    is cleared from the rows after it, so a subset costs at most one
+    elimination step; a full-width basis fills its subtree unreduced.
+    """
+    p = field.p if field.kind == "prime" else 0
+    n = len(entries)
+    width = len(entries[0]) if entries else 0
+    ranks = bytearray(1 << n)
+
+    def extend(mask: int, rank: int, rows: list[list], start: int) -> None:
+        # rows[i] is row start + i reduced against the basis of `mask`
+        if rank == width:
+            step = 1 << start
+            ranks[mask + step :: step] = bytes((rank,)) * ((1 << (n - start)) - 1)
+            return
+        for i, row in enumerate(rows):
+            child, rest = mask | 1 << (start + i), rows[i + 1 :]
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is not None:
+                inv = field.inv(row[c])
+                tail = [x * inv % p for x in row[c:]] if p else [x * inv for x in row[c:]]
+                rest = [list(r) for r in rest]
+                _clear_column(rest, c, tail, p)
+            ranks[child] = child_rank = rank + (c is not None)
+            extend(child, child_rank, rest, start + i + 1)
+
+    extend(0, 0, [list(row) for row in entries], 0)
+    return bytes(ranks)
+
+
 def _dot(field: Field, u: Sequence, v: Sequence):
     acc = field.zero
     for a, b in zip(u, v):
         acc = field.add(acc, field.mul(a, b))
     return acc
-
-
-def dot(field: Field, u: Sequence, v: Sequence):
-    """Inner product of two coordinate tuples."""
-    if len(u) != len(v):
-        raise DimensionMismatch("dot product of unequal lengths")
-    return _dot(field, u, v)
 
 
 def matrix_from_text(field: Field, text: str) -> ExactMatrix:

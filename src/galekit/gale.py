@@ -4,7 +4,10 @@ For gamma = r+s+2 labeled points in P^r with coordinate matrix G, the
 transform is the configuration in P^s whose rows are a basis of
 ker(G^T), taken in the canonical reduced-row-echelon normalization so
 the output is a function of the input.  The identity diagonal witness
-G^T . I . G' = 0 is verified on every call.
+G^T . I . G' = 0 is verified on every call.  The kernel of G^T is cached
+on the configuration, and :func:`duality_defects` reads both sides of the
+rank duality from per-configuration subset-rank tables: the first call pays
+for both walks, and more than 20 points are refused with ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import (
     VerificationFailed,
     WrongDegree,
 )
-from .exactla import ExactMatrix, first_proportional_pair, row_is_zero
+from .exactla import first_proportional_pair, row_is_zero
 from .pointconfig import PointConfiguration, validate_subset
 
 
@@ -35,18 +38,6 @@ class GaleResult:
         return self.transform.r
 
 
-def _kernel_rows(cfg: PointConfiguration) -> ExactMatrix:
-    """Kernel of G^T arranged as gamma rows of gamma - r - 1 entries.
-
-    A wider kernel means rank(G) < r + 1, which the one elimination
-    behind the kernel basis shows without a separate rank pass.
-    """
-    k = cfg.coords.transpose().kernel_basis()
-    if k.cols > cfg.gamma - cfg.r - 1:
-        raise Degenerate(f"points span only a subspace of P^{cfg.r}")
-    return k
-
-
 def gale_transform(cfg: PointConfiguration) -> GaleResult:
     """Gale transform of gamma >= r+3 points spanning P^r.
 
@@ -58,7 +49,8 @@ def gale_transform(cfg: PointConfiguration) -> GaleResult:
     s = cfg.gamma - cfg.r - 2
     if s < 1:
         raise WrongDegree("need gamma >= r+3 for a transform into P^s, s >= 1")
-    k = _kernel_rows(cfg)
+    transform = cfg.gale_kernel
+    k = transform.coords
     f = cfg.field
     for i, row in enumerate(k.entries):
         if row_is_zero(f, row):
@@ -66,7 +58,6 @@ def gale_transform(cfg: PointConfiguration) -> GaleResult:
     pair = first_proportional_pair(f, k.entries)
     if pair is not None:
         raise GaleNonReduced(*pair)
-    transform = PointConfiguration(k)
     if not (cfg.coords.transpose() @ k).is_zero():
         raise VerificationFailed("kernel identity G^T G' = 0 violated")
     return GaleResult(cfg, transform, tuple(f.one for _ in range(cfg.gamma)))
@@ -101,17 +92,18 @@ def duality_defects(cfg: PointConfiguration, subset: Iterable[int]) -> tuple[int
     independent conditions on the transform.  The two are equal for every
     subset of every configuration; callers assert that.
 
-    The kernel matrix is used directly, without the reduced-configuration
-    checks of :func:`gale_transform`, so the identity can be probed on
-    configurations whose transform has coincident or vanishing rows.
+    The span side is read from the rank table of the coordinate rows, the
+    condition side from that of the kernel rows of G^T, each built once
+    per configuration by its own walk: the first call pays for both, later
+    calls are lookups.  More than SUBSET_SCAN_LIMIT = 20 points are refused
+    with :class:`TooLarge` before either table is allocated.  The kernel
+    rows skip the reduced-configuration checks of :func:`gale_transform`,
+    so the identity can be probed when the transform has coincident or
+    vanishing rows.
     """
     s = validate_subset(subset, cfg.gamma)
-    k = _kernel_rows(cfg)
-    span_failure = (cfg.r + 1) - cfg.span_rank(s)
-    complement = tuple(sorted(set(range(cfg.gamma)) - set(s)))
-    if complement:
-        cond_rank = k.submatrix(complement).rank()
-    else:
-        cond_rank = 0
-    condition_failure = len(complement) - cond_rank
+    mask = sum(1 << i for i in s)
+    span_failure = (cfg.r + 1) - cfg.rank_table[mask]
+    complement = ((1 << cfg.gamma) - 1) ^ mask
+    condition_failure = (cfg.gamma - len(s)) - cfg.gale_kernel.rank_table[complement]
     return span_failure, condition_failure

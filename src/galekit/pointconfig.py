@@ -11,10 +11,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    Degenerate,
     DimensionMismatch,
     DuplicatePoint,
     FormatError,
@@ -30,6 +32,7 @@ from .exactla import (
     normalize_row,
     parse_field,
     row_is_zero,
+    subset_ranks,
 )
 
 SUBSET_SCAN_LIMIT = 20
@@ -119,6 +122,24 @@ class PointConfiguration:
 
     def is_nondegenerate(self) -> bool:
         return self.coords.rank() == self.r + 1
+
+    @cached_property
+    def gale_kernel(self) -> "PointConfiguration":
+        """Kernel of G^T as gamma rows of gamma - r - 1 entries, computed once
+        and unvalidated: rows may be zero or proportional.  A wider kernel
+        means rank(G) < r + 1, so no separate rank pass is needed."""
+        k = self.coords.transpose().kernel_basis()
+        if k.cols > self.gamma - self.r - 1:
+            raise Degenerate(f"points span only a subspace of P^{self.r}")
+        return PointConfiguration(k)
+
+    @cached_property
+    def rank_table(self) -> bytes:
+        """Rank of every subset of the points by bitmask, built on first use;
+        refused above SUBSET_SCAN_LIMIT points before it is allocated."""
+        if self.gamma > SUBSET_SCAN_LIMIT:
+            raise TooLarge(f"gamma = {self.gamma} exceeds {SUBSET_SCAN_LIMIT}")
+        return subset_ranks(self.field, self.coords.entries)
 
     # -- rank and position predicates ----------------------------------------
 

@@ -18,6 +18,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from conftest import solve  # noqa: E402
+
 from galekit.exactla import GF, QQ, ExactMatrix  # noqa: E402
 
 FIELDS = [QQ, GF(2), GF(101), GF(2**31 - 1)]
@@ -138,7 +140,7 @@ def test_solve_matches_sympy(field, data):
     a = data.draw(matrices(field, rows=n))
     b = data.draw(matrices(field, rows=n, cols=data.draw(st.integers(1, 3))))
     reduced, pivots = to_domain(a.hstack(b)).rref()
-    x = a.solve(b)
+    x = solve(a, b)
     if any(c >= a.cols for c in pivots):
         assert x is None
         return

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from conftest import rng_for
 
-from galekit.errors import Degenerate, GaleDegenerate, GaleNonReduced, WrongDegree
+from galekit.errors import Degenerate, GaleDegenerate, GaleNonReduced, TooLarge, WrongDegree
 from galekit.exactla import GF, QQ, rows_proportional
 from galekit.gale import (
     duality_defects,
@@ -13,6 +13,7 @@ from galekit.gale import (
 )
 from galekit.generators import (
     collinear_plus_free,
+    random_configuration,
     random_gale_friendly_configuration,
     random_invertible_matrix,
     random_scalar,
@@ -97,6 +98,26 @@ def test_duality_defects_equal_on_all_subsets():
             for s in combinations(range(gamma), size):
                 span_failure, condition_failure = duality_defects(cfg, s)
                 assert span_failure == condition_failure
+
+
+def test_duality_defects_degenerate_configuration():
+    cfg = PointConfiguration.new(QQ, 2, [[1, t, 0] for t in range(5)])
+    with pytest.raises(Degenerate):
+        duality_defects(cfg, (0, 1))
+
+
+def test_duality_defects_refuses_large_configuration():
+    cfg = random_configuration(rng_for("defects-too-large"), GF(101), 2, 21)
+    with pytest.raises(TooLarge):
+        duality_defects(cfg, (0, 1))
+    # refused before either rank table or the kernel is built
+    assert not {"rank_table", "gale_kernel"} & set(vars(cfg))
+
+
+def test_duality_defects_checks_indices_before_size():
+    cfg = random_configuration(rng_for("defects-too-large"), GF(101), 2, 21)
+    with pytest.raises(IndexError):
+        duality_defects(cfg, (0, 21))
 
 
 def test_involution():

@@ -3,11 +3,13 @@ definitions checked directly.
 
 Stability is compared with the GIT subset bounds over every proper subset's
 ``span_rank``; a subset is a frame exactly when each r+1 of its r+2 points
-are independent; and the canonical form must not see projective maps or row
-rescalings.  Configurations are drawn with many points on one flat, so
-unstable and degenerate inputs are common.
+are independent; the canonical form must not see projective maps or row
+rescalings; and a configuration written to the file format reads back with
+the same coordinates.  Configurations are drawn with many points on one
+flat, so unstable and degenerate inputs are common.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,11 +19,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from galekit.errors import DuplicatePoint, ZeroPoint  # noqa: E402
 from galekit.exactla import GF, QQ, ExactMatrix, normalize_row, row_is_zero  # noqa: E402
 from galekit.pointconfig import (  # noqa: E402
     Equivalence,
     PointConfiguration,
     is_equivalent_labeled,
+    read_configuration,
+    write_configuration,
 )
 
 FIELDS = [QQ, GF(2), GF(7), GF(101)]
@@ -144,6 +149,27 @@ def test_canonical_form_and_equivalence_are_projective_invariants(field, data):
         assert moved_canon.coords == canon.coords
         assert is_equivalent_labeled(cfg, moved) is Equivalence.EQUIVALENT
         assert is_equivalent_labeled(moved, cfg) is Equivalence.EQUIVALENT
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(2**31 - 1)], ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_file_format_round_trip(field, data):
+    if field.kind == "rational":
+        entry = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
+    else:
+        entry = st.integers(0, field.p - 1)
+    r = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.lists(entry, min_size=r + 1, max_size=r + 1),
+                              min_size=1, max_size=6))
+    header = "\n".join(data.draw(st.lists(st.text(max_size=12), max_size=4)))
+    try:
+        cfg = PointConfiguration.new(field, r, rows)
+    except (ZeroPoint, DuplicatePoint):
+        assume(False)
+    again = read_configuration(write_configuration(cfg, header=header))
+    assert again.field == field
+    assert again.coords == cfg.coords
 
 
 def test_frame_without_common_frame_subset_is_not_equivalent():
